@@ -42,6 +42,10 @@ _ACTIVE_SERVER: typing.Optional["LiveObsServer"] = None
 
 #: Telemetry events that mark a task as no longer running.
 _TERMINAL_TASK_EVENTS = ("task_end", "task_fail", "task_retry")
+#: ``serve_forever`` poll interval of the HTTP planes here and in
+#: :mod:`repro.serve.api`: ``shutdown()`` blocks until the next poll,
+#: so the stdlib default (0.5 s) would be paid on every close.
+SERVE_POLL_S = 0.05
 
 
 class LivePortBusyError(OSError):
@@ -124,6 +128,7 @@ class LiveObsServer:
         self.port = self._httpd.server_address[1]
         self._serve_thread = threading.Thread(
             target=self._httpd.serve_forever,
+            args=(SERVE_POLL_S,),
             name="repro-live-http",
             daemon=True,
         )

@@ -140,11 +140,6 @@ def experiment_accepts_seed(name: str) -> bool:
     return _accepts_param(name, "seed")
 
 
-def experiment_accepts_param(name: str, param: str) -> bool:
-    """Whether the registered experiment takes a ``param`` keyword."""
-    return _accepts_param(name, param)
-
-
 def _accepts_param(name: str, param: str) -> bool:
     signature = inspect.signature(get_experiment(name).runner)
     return param in signature.parameters or any(

@@ -7,6 +7,7 @@ them by reference (same idiom as test_runner.py).
 import json
 import os
 import pickle
+import time
 import urllib.error
 import urllib.request
 
@@ -170,6 +171,15 @@ def test_close_is_idempotent():
     server = LiveObsServer(port=0)
     server.close()
     server.close()
+
+
+def test_close_does_not_wait_out_a_poll_interval():
+    # shutdown() blocks until serve_forever's next poll, so the poll
+    # interval bounds every close (the stdlib default is 0.5 s).
+    started = time.perf_counter()
+    with live_server(port=0):
+        pass
+    assert time.perf_counter() - started < 0.25
 
 
 def test_nested_live_server_restores_previous():
