@@ -3,7 +3,7 @@
 The robustness pillar on top of the measurement testbed: a scenario
 catalog (:mod:`.scenarios`), a kernel-scheduled fault-injection engine
 (:mod:`.inject`), a deterministic verdict layer (:mod:`.verdict`), and
-a campaign driver (:mod:`.campaign`) that expands fault x intensity x
+campaign cells and plans (:mod:`.campaign`) that expand fault x intensity x
 platform matrices through :mod:`repro.runner`.  See ``docs/CHAOS.md``.
 
 Exports resolve lazily (PEP 562) so that importing the scenario
@@ -12,9 +12,7 @@ testbed stack.
 """
 
 _EXPORTS = {
-    "ChaosCampaignOutcome": ".campaign",
     "build_chaos_plan": ".campaign",
-    "run_chaos_campaign": ".campaign",
     "run_chaos_cell": ".campaign",
     "FaultInjector": ".inject",
     "SCENARIOS": ".scenarios",

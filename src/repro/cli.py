@@ -148,9 +148,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "/events (SSE); 0 picks a free port (docs/OBSERVABILITY.md)",
     )
 
-    def add_parser(name: str, live_plane: bool = False, **kwargs):
-        parents = [common, live] if live_plane else [common]
-        return sub.add_parser(name, parents=parents, **kwargs)
+    runner = argparse.ArgumentParser(add_help=False)
+    runner.add_argument(
+        "--seeds",
+        default="1",
+        help="seed range: a count N (seeds 0..N-1) or an A:B half-open range",
+    )
+    runner.add_argument("--workers", type=int, default=None)
+    runner.add_argument(
+        "--serial", action="store_true", help="run in-process, in plan order"
+    )
+    runner.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
+    runner.add_argument("--retries", type=int, default=2)
+    runner.add_argument("--cache-dir", default=".repro-cache")
+    runner.add_argument(
+        "--no-cache", action="store_true", help="always execute; never read or write the cache"
+    )
+    runner.add_argument(
+        "--telemetry", default=None, metavar="PATH", help="append JSONL events here"
+    )
+
+    def add_parser(name: str, *parents: argparse.ArgumentParser, **kwargs):
+        return sub.add_parser(name, parents=[common, *parents], **kwargs)
 
     sub = parser.add_subparsers(dest="command")
 
@@ -210,7 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     campaign = add_parser(
         "campaign",
-        live_plane=True,
+        live,
+        runner,
         help="run an experiment matrix in parallel with caching + telemetry",
     )
     campaign.add_argument(
@@ -218,11 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         required=True,
         help="registry names, or 'all' for every registered experiment",
-    )
-    campaign.add_argument(
-        "--seeds",
-        default="1",
-        help="seed range: a count N (seeds 0..N-1) or an A:B half-open range",
     )
     campaign.add_argument(
         "--param",
@@ -234,24 +249,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "'platforms=[[\"vrchat\"],[\"worlds\"]]' (repeat the flag for "
         "more axes; an axis only applies to experiments accepting it)",
     )
-    campaign.add_argument("--workers", type=int, default=None)
-    campaign.add_argument(
-        "--serial", action="store_true", help="run in-process, in plan order"
-    )
-    campaign.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
-    campaign.add_argument("--retries", type=int, default=2)
-    campaign.add_argument("--cache-dir", default=".repro-cache")
-    campaign.add_argument(
-        "--no-cache", action="store_true", help="always execute; never read or write the cache"
-    )
-    campaign.add_argument(
-        "--telemetry", default=None, metavar="PATH", help="append JSONL events here"
-    )
     campaign.set_defaults(handler=_cmd_campaign, owns_metrics_out=True)
 
     chaos = add_parser(
         "chaos",
-        live_plane=True,
+        live,
+        runner,
         help="run fault-injection resiliency campaigns (docs/CHAOS.md)",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=_chaos_catalog_text(),
@@ -278,29 +281,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="intensity levels; scenario/intensity pairs the catalog "
         "does not define are skipped (default: every level)",
     )
-    chaos.add_argument(
-        "--seeds",
-        default="1",
-        help="seed range: a count N (seeds 0..N-1) or an A:B half-open range",
-    )
-    chaos.add_argument("--workers", type=int, default=None)
-    chaos.add_argument(
-        "--serial", action="store_true", help="run in-process, in plan order"
-    )
-    chaos.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
-    chaos.add_argument("--retries", type=int, default=2)
-    chaos.add_argument("--cache-dir", default=".repro-cache")
-    chaos.add_argument(
-        "--no-cache", action="store_true", help="always execute; never read or write the cache"
-    )
-    chaos.add_argument(
-        "--telemetry", default=None, metavar="PATH", help="append JSONL events here"
-    )
     chaos.set_defaults(handler=_cmd_chaos, owns_metrics_out=True)
 
     qoe = add_parser(
         "qoe",
-        live_plane=True,
+        live,
+        runner,
         help="score per-user experience (MOS windows + SLOs, docs/QOE.md)",
     )
     qoe.add_argument(
@@ -313,11 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
     qoe.add_argument("--users", type=int, default=2, help="users per testbed")
     qoe.add_argument(
         "--duration", type=float, default=30.0, help="scored in-event seconds"
-    )
-    qoe.add_argument(
-        "--seeds",
-        default="1",
-        help="seed range: a count N (seeds 0..N-1) or an A:B half-open range",
     )
     qoe.add_argument(
         "--slo",
@@ -338,19 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="mild",
         metavar="NAME",
         help="intensity for --scenario (default: mild)",
-    )
-    qoe.add_argument("--workers", type=int, default=None)
-    qoe.add_argument(
-        "--serial", action="store_true", help="run in-process, in plan order"
-    )
-    qoe.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
-    qoe.add_argument("--retries", type=int, default=2)
-    qoe.add_argument("--cache-dir", default=".repro-cache")
-    qoe.add_argument(
-        "--no-cache", action="store_true", help="always execute; never read or write the cache"
-    )
-    qoe.add_argument(
-        "--telemetry", default=None, metavar="PATH", help="append JSONL events here"
     )
     qoe.set_defaults(handler=_cmd_qoe, owns_metrics_out=True)
 
@@ -423,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scale = add_parser(
         "scale",
-        live_plane=True,
+        live,
         help="fluid fan-out: project the testbed calibration to "
         "metaverse-scale populations",
     )
@@ -818,17 +786,47 @@ def _cmd_experiments(args) -> int:
     return 0
 
 
-def _parse_seeds(text: str) -> list:
-    """``'20'`` -> seeds 0..19; ``'5:8'`` -> seeds 5,6,7."""
-    if ":" in text:
-        start, _, stop = text.partition(":")
-        seeds = list(range(int(start), int(stop)))
-    else:
-        seeds = list(range(int(text)))
-    if not seeds:
-        print(f"--seeds {text!r} selects no seeds", file=sys.stderr)
-        raise SystemExit(2)
-    return seeds
+def _seeds(args) -> list:
+    """``--seeds`` through the shared seed vocabulary; bad input exits 2."""
+    from .runner.plan import parse_seeds
+
+    try:
+        return parse_seeds(args.seeds)
+    except ValueError as exc:
+        print(f"--{exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _runner_kwargs(args) -> dict:
+    """The shared runner flags as :func:`repro.runner.run_campaign` kwargs."""
+    return dict(
+        parallel=not args.serial,
+        max_workers=args.workers,
+        timeout_s=args.timeout,
+        max_retries=args.retries,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        telemetry_path=args.telemetry,
+        metrics_dir=args.metrics_out,
+        collect_obs=args.profile,
+    )
+
+
+def _finish_campaign(args, campaign) -> int:
+    """The tail every matrix subcommand prints after its own tables."""
+    print(campaign.summary.render())
+    if args.profile:
+        entries: typing.List[dict] = []
+        for result in campaign:
+            if result.metrics is not None:
+                entries.extend(_callback_entries_from_dump(result.metrics))
+        _print_callback_profile(entries)
+    for failure in campaign.failures:
+        print(f"FAILED {failure.spec.task_id}: {failure.error}", file=sys.stderr)
+    if args.telemetry:
+        print(f"\n[telemetry appended to {args.telemetry}]")
+    if args.metrics_out:
+        print(f"[per-task metrics written to {args.metrics_out}/]")
+    return 0 if campaign.ok else 1
 
 
 def _parse_grid(params: typing.Sequence[str]) -> dict:
@@ -905,25 +903,14 @@ def _cmd_campaign(args) -> int:
         names = list(registry())
     try:
         plan = CampaignPlan.from_matrix(
-            names, grid=_parse_grid(args.param), seeds=_parse_seeds(args.seeds)
+            names, grid=_parse_grid(args.param), seeds=_seeds(args)
         )
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
     with _maybe_live(args):
         print(f"Running {plan.describe()}...")
-        campaign = run_campaign(
-            plan,
-            parallel=not args.serial,
-            max_workers=args.workers,
-            timeout_s=args.timeout,
-            max_retries=args.retries,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            use_cache=not args.no_cache,
-            telemetry_path=args.telemetry,
-            metrics_dir=args.metrics_out,
-            collect_obs=args.profile,
-        )
+        campaign = run_campaign(plan, **_runner_kwargs(args))
     rows = []
     for name in plan.experiments:
         per = [r for r in campaign if r.spec.experiment == name]
@@ -948,20 +935,7 @@ def _cmd_campaign(args) -> int:
         )
     )
     print()
-    print(campaign.summary.render())
-    if args.profile:
-        entries: typing.List[dict] = []
-        for result in campaign:
-            if result.metrics is not None:
-                entries.extend(_callback_entries_from_dump(result.metrics))
-        _print_callback_profile(entries)
-    for failure in campaign.failures:
-        print(f"FAILED {failure.spec.task_id}: {failure.error}", file=sys.stderr)
-    if args.telemetry:
-        print(f"\n[telemetry appended to {args.telemetry}]")
-    if args.metrics_out:
-        print(f"[per-task metrics written to {args.metrics_out}/]")
-    return 0 if campaign.ok else 1
+    return _finish_campaign(args, campaign)
 
 
 def _chaos_catalog_text() -> str:
@@ -976,32 +950,23 @@ def _chaos_catalog_text() -> str:
 
 
 def _cmd_chaos(args) -> int:
-    from .chaos import run_chaos_campaign
+    from .chaos import build_chaos_plan
+    from .runner import run_campaign
 
     print(_chaos_catalog_text())
     print()
     try:
-        with _maybe_live(args):
-            outcome = run_chaos_campaign(
-                scenarios=args.scenarios,
-                platforms=args.platforms,
-                intensities=args.intensities,
-                seeds=_parse_seeds(args.seeds),
-                parallel=not args.serial,
-                max_workers=args.workers,
-                timeout_s=args.timeout,
-                max_retries=args.retries,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                use_cache=not args.no_cache,
-                telemetry_path=args.telemetry,
-                metrics_dir=args.metrics_out,
-                collect_obs=args.profile,
-            )
+        plan = build_chaos_plan(
+            args.scenarios, args.platforms, args.intensities, _seeds(args)
+        )
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
+    with _maybe_live(args):
+        campaign = run_campaign(plan, **_runner_kwargs(args))
+    verdicts = campaign.cells("chaos")
     rows = []
-    for verdict in outcome.verdicts:
+    for verdict in verdicts:
         rows.append(
             [
                 verdict.scenario,
@@ -1048,48 +1013,31 @@ def _cmd_chaos(args) -> int:
         )
     )
     print()
-    passed = sum(1 for f in outcome.findings if f.passed)
-    print(f"findings: {passed}/{len(outcome.findings)} cells passed")
-    print(outcome.campaign.summary.render())
-    for failure in outcome.campaign.failures:
-        print(f"FAILED {failure.spec.task_id}: {failure.error}", file=sys.stderr)
-    if args.telemetry:
-        print(f"\n[telemetry appended to {args.telemetry}]")
-    if args.metrics_out:
-        print(f"[per-task metrics written to {args.metrics_out}/]")
-    return 0 if outcome.ok else 1
+    passed = sum(verdict.passed for verdict in verdicts)
+    print(f"findings: {passed}/{len(verdicts)} cells passed")
+    return _finish_campaign(args, campaign)
 
 
 def _cmd_qoe(args) -> int:
-    from .qoe import SloSpec, evaluate_slo, mos_label, run_qoe_campaign
+    from .qoe import SloSpec, build_qoe_plan, evaluate_slo, mos_label
+    from .runner import run_campaign
 
     try:
         slo_specs = [SloSpec.parse(text) for text in args.slo]
     except ValueError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    try:
-        with _maybe_live(args):
-            outcome = run_qoe_campaign(
-                platforms=args.platforms,
-                seeds=_parse_seeds(args.seeds),
-                n_users=args.users,
-                duration_s=args.duration,
-                scenario=args.scenario,
-                intensity=args.intensity,
-                parallel=not args.serial,
-                max_workers=args.workers,
-                timeout_s=args.timeout,
-                max_retries=args.retries,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                use_cache=not args.no_cache,
-                telemetry_path=args.telemetry,
-                metrics_dir=args.metrics_out,
-                collect_obs=args.profile,
-            )
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    plan = build_qoe_plan(
+        args.platforms,
+        _seeds(args),
+        n_users=args.users,
+        duration_s=args.duration,
+        scenario=args.scenario,
+        intensity=args.intensity,
+    )
+    with _maybe_live(args):
+        campaign = run_campaign(plan, **_runner_kwargs(args))
+    results = campaign.cells("qoe-score")
     if args.scenario:
         print(
             f"QoE under fault: {args.scenario} @ {args.intensity} "
@@ -1097,7 +1045,7 @@ def _cmd_qoe(args) -> int:
         )
         print()
     rows = []
-    for result in outcome.results:
+    for result in results:
         for user in result.users:
             rows.append(
                 [
@@ -1130,8 +1078,13 @@ def _cmd_qoe(args) -> int:
         print()
         slo_rows = []
         compliant_cells = 0
-        for platform in outcome.platforms():
-            windows = outcome.pooled_windows(platform)
+        for platform in dict.fromkeys(result.platform for result in results):
+            windows = [
+                window
+                for result in results
+                if result.platform == platform
+                for window in result.windows
+            ]
             for spec in slo_specs:
                 report = evaluate_slo(spec, windows)
                 compliant_cells += report.compliant
@@ -1161,14 +1114,7 @@ def _cmd_qoe(args) -> int:
         print()
         print(f"findings: {compliant_cells}/{len(slo_rows)} SLO cells compliant")
     print()
-    print(outcome.campaign.summary.render())
-    for failure in outcome.campaign.failures:
-        print(f"FAILED {failure.spec.task_id}: {failure.error}", file=sys.stderr)
-    if args.telemetry:
-        print(f"\n[telemetry appended to {args.telemetry}]")
-    if args.metrics_out:
-        print(f"[per-task metrics written to {args.metrics_out}/]")
-    return 0 if outcome.ok else 1
+    return _finish_campaign(args, campaign)
 
 
 def _cmd_trace(args) -> int:

@@ -13,6 +13,22 @@ import typing
 
 
 @dataclasses.dataclass(frozen=True)
+class CellKind:
+    """How a matrix experiment's per-cell results are ordered and echoed.
+
+    A campaign stamps each successful result of such an experiment with
+    its ``campaign_id``/``task_id``, sorts them by ``sort_key`` (so the
+    order is independent of shard scheduling), and after
+    ``campaign_end`` emits one ``event`` telemetry record per result
+    carrying ``task`` plus ``fields`` in this order.
+    """
+
+    sort_key: typing.Tuple[str, ...]
+    event: str
+    fields: typing.Tuple[str, ...]
+
+
+@dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
     """One runnable experiment and its provenance."""
 
@@ -21,6 +37,8 @@ class ExperimentSpec:
     description: str
     runner: typing.Callable
     default_kwargs: typing.Mapping = dataclasses.field(default_factory=dict)
+    #: Set on matrix experiments whose results are campaign cells.
+    cell: typing.Optional[CellKind] = None
 
     def run(self, **overrides):
         kwargs = dict(self.default_kwargs)
@@ -179,6 +197,20 @@ def _build_registry() -> typing.Dict[str, ExperimentSpec]:
             "one chaos fault-injection cell (scenario x platform x intensity)",
             run_chaos_cell,
             {"scenario": "link-flap", "platform": "vrchat"},
+            CellKind(
+                sort_key=("scenario", "platform", "intensity", "seed"),
+                event="chaos_verdict",
+                fields=(
+                    "scenario",
+                    "platform",
+                    "intensity",
+                    "seed",
+                    "passed",
+                    "recovered",
+                    "recovery_time_s",
+                    "session_survival_rate",
+                ),
+            ),
         ),
         ExperimentSpec(
             "qoe-score",
@@ -186,6 +218,19 @@ def _build_registry() -> typing.Dict[str, ExperimentSpec]:
             "per-user QoE scoring cell (MOS windows + SLO evaluation)",
             run_qoe_cell,
             {"platform": "vrchat"},
+            CellKind(
+                sort_key=("platform", "seed"),
+                event="qoe_cell",
+                fields=(
+                    "platform",
+                    "seed",
+                    "scenario",
+                    "intensity",
+                    "mean_score",
+                    "worst_score",
+                    "below_threshold_user_s",
+                ),
+            ),
         ),
     ]
     return {spec.name: spec for spec in specs}

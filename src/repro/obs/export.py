@@ -206,7 +206,7 @@ def read_telemetry_jsonl(path: str) -> typing.List[dict]:
     The reader for :class:`repro.runner.telemetry.TelemetryWriter`
     files: returns the raw event records in file order, skipping blank
     lines.  Used by the HTML campaign report to join ``campaign_end``
-    summaries, failures, and driver-level ``chaos_verdict`` /
+    summaries, failures, and per-cell ``chaos_verdict`` /
     ``qoe_cell`` events back to the aggregated metrics.
     """
     events: typing.List[dict] = []

@@ -9,7 +9,7 @@ artifacts a campaign leaves behind:
 * the **task index** (``index.json``): per-task status, seed, params,
   attempts, and dump filename;
 * the **telemetry stream**: campaign summary, retries/failures, and the
-  driver-level ``chaos_verdict`` / ``qoe_cell`` events as their own
+  per-cell ``chaos_verdict`` / ``qoe_cell`` echo events as their own
   panels.
 
 Everything is joined on the ``campaign_id`` correlation id that

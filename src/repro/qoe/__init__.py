@@ -38,10 +38,8 @@ _EXPORTS = {
     "SloWindow": ".slo",
     "evaluate_slo": ".slo",
     "percentile": ".slo",
-    "QoeCampaignOutcome": ".campaign",
     "QoeCellResult": ".campaign",
     "build_qoe_plan": ".campaign",
-    "run_qoe_campaign": ".campaign",
     "run_qoe_cell": ".campaign",
     "RoomQoe": ".cohort",
     "cohort_score": ".cohort",

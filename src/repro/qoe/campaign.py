@@ -1,4 +1,4 @@
-"""QoE campaign driver: score a platform matrix, optionally under fault.
+"""QoE campaign cells: score a platform matrix, optionally under fault.
 
 One cell (:func:`run_qoe_cell`) builds a fresh testbed with a
 metrics-only observability bundle, rides a :class:`QoeProbe` over the
@@ -22,7 +22,7 @@ import typing
 from ..measure.session import Testbed, download_drain_s
 from ..obs.context import MetricsOnlyObservability, active_collector
 from ..platforms.profiles import PLATFORM_NAMES
-from ..runner import CampaignPlan, TelemetryWriter, run_campaign
+from ..runner import CampaignPlan
 from .slo import SloReport, SloSpec, evaluate_slo
 from .streams import QoeProbe, UserQoeSummary, WindowScore
 
@@ -115,34 +115,6 @@ def run_qoe_cell(
     )
 
 
-@dataclasses.dataclass
-class QoeCampaignOutcome:
-    """Cell results plus the raw runner result for one QoE campaign."""
-
-    campaign: typing.Any  # repro.runner.CampaignResult
-    results: typing.List[QoeCellResult]
-
-    @property
-    def ok(self) -> bool:
-        return self.campaign.ok
-
-    def pooled_windows(self, platform: str) -> typing.List[WindowScore]:
-        """All window scores for one platform, across seeds, in a
-        canonical (seed, user, time) order for SLO evaluation."""
-        windows: typing.List[WindowScore] = []
-        for result in self.results:
-            if result.platform == platform:
-                windows.extend(result.windows)
-        return windows
-
-    def platforms(self) -> typing.List[str]:
-        seen: typing.List[str] = []
-        for result in self.results:
-            if result.platform not in seen:
-                seen.append(result.platform)
-        return seen
-
-
 def build_qoe_plan(
     platforms: typing.Optional[typing.Sequence[str]] = None,
     seeds: typing.Iterable[int] = (0,),
@@ -163,88 +135,3 @@ def build_qoe_plan(
         seeds=seeds,
         base_kwargs=base,
     )
-
-
-def run_qoe_campaign(
-    platforms: typing.Optional[typing.Sequence[str]] = None,
-    seeds: typing.Iterable[int] = (0,),
-    *,
-    n_users: int = 2,
-    duration_s: float = 30.0,
-    scenario: typing.Optional[str] = None,
-    intensity: str = "mild",
-    parallel: bool = True,
-    max_workers: typing.Optional[int] = None,
-    timeout_s: typing.Optional[float] = None,
-    max_retries: int = 2,
-    cache_dir: typing.Optional[str] = None,
-    use_cache: bool = True,
-    telemetry_path: typing.Optional[str] = None,
-    metrics_dir: typing.Optional[str] = None,
-    collect_obs: bool = False,
-) -> QoeCampaignOutcome:
-    """Run a QoE matrix through the campaign runner.
-
-    The driver owns the telemetry stream: every event carries the
-    plan-derived ``campaign_id``, and each scored cell is echoed as a
-    ``qoe_cell`` event after the runner's ``campaign_end`` — the join
-    point the HTML campaign report uses.
-    """
-    plan = build_qoe_plan(
-        platforms,
-        seeds,
-        n_users=n_users,
-        duration_s=duration_s,
-        scenario=scenario,
-        intensity=intensity,
-    )
-    with TelemetryWriter(
-        telemetry_path, context={"campaign_id": plan.campaign_id}
-    ) as telemetry:
-        campaign = run_campaign(
-            plan,
-            parallel=parallel,
-            max_workers=max_workers,
-            timeout_s=timeout_s,
-            max_retries=max_retries,
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-            telemetry=telemetry,
-            metrics_dir=metrics_dir,
-            collect_obs=collect_obs,
-        )
-        results = _ordered_results(campaign, plan.campaign_id)
-        for cell in results:
-            telemetry.emit(
-                "qoe_cell",
-                task=cell.task_id,
-                platform=cell.platform,
-                seed=cell.seed,
-                scenario=cell.scenario,
-                intensity=cell.intensity,
-                mean_score=cell.mean_score,
-                worst_score=cell.worst_score,
-                below_threshold_user_s=cell.below_threshold_user_s,
-            )
-    return QoeCampaignOutcome(campaign=campaign, results=results)
-
-
-def _ordered_results(campaign, campaign_id: str = "") -> typing.List[QoeCellResult]:
-    """Successful results in a canonical, shard-independent order,
-    stamped with the correlation ids of the campaign that ran them."""
-    results = []
-    for result in campaign:
-        if not (result.ok and isinstance(result.value, QoeCellResult)):
-            continue
-        cell = result.value
-        try:
-            cell = dataclasses.replace(
-                cell,
-                campaign_id=campaign_id,
-                task_id=result.spec.task_id,
-            )
-        except (AttributeError, TypeError):  # cached pre-correlation pickle
-            pass
-        results.append(cell)
-    results.sort(key=lambda r: (r.platform, r.seed))
-    return results

@@ -135,6 +135,35 @@ def campaign_id_for(tasks: typing.Sequence[TaskSpec]) -> str:
     return "c" + hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def parse_seeds(value: typing.Any) -> typing.List[int]:
+    """Seed vocabulary of the CLI and serve specs alike: a count ``N``
+    (seeds 0..N-1), an ``'A:B'`` half-open range, or a list of ints.
+
+    Raises ``ValueError`` on anything else and on an empty selection.
+    """
+    if isinstance(value, bool):
+        raise ValueError("seeds must be a count, an 'A:B' range, or a list")
+    if isinstance(value, int):
+        seeds = list(range(value))
+    elif isinstance(value, str):
+        start, sep, stop = value.partition(":")
+        try:
+            seeds = list(range(int(start), int(stop))) if sep else list(range(int(value)))
+        except ValueError:
+            raise ValueError(
+                f"seeds {value!r} is not a count N or an 'A:B' range"
+            ) from None
+    elif isinstance(value, list) and all(
+        isinstance(s, int) and not isinstance(s, bool) for s in value
+    ):
+        seeds = list(value)
+    else:
+        raise ValueError("seeds must be a count, an 'A:B' range, or a list of ints")
+    if not seeds:
+        raise ValueError(f"seeds {value!r} selects no seeds")
+    return seeds
+
+
 def experiment_accepts_seed(name: str) -> bool:
     """Whether the registered experiment takes a ``seed`` parameter."""
     return _accepts_param(name, "seed")

@@ -12,6 +12,8 @@ Event vocabulary:
 ``task_retry``      task, reason, attempt, backoff_s
 ``task_fail``       task, reason, attempts
 ``campaign_end``    the :class:`CampaignSummary` fields
+``chaos_verdict``   per cell of a cell-kind experiment, after
+``qoe_cell``        ``campaign_end`` (see ``CellKind``): task + fields
 
 Events always also accumulate in memory (``TelemetryWriter.events``),
 so tests and notebooks can assert on them without touching the

@@ -85,6 +85,25 @@ def test_submit_runs_to_done_with_artifacts(client):
     assert event["job_id"] == job["id"]
 
 
+def test_chaos_job_telemetry_echoes_its_verdict(client):
+    spec = {
+        "experiments": ["chaos"],
+        "grid": {"scenario": ["link-flap"], "platform": ["vrchat"]},
+        "parallel": False,
+    }
+    job = client.submit(spec)
+    done = client.wait(job["id"], timeout_s=60)
+    assert done["state"] == "done"
+    results = json.loads(client.fetch_artifact(job["id"], "results.json"))
+    telemetry = client.fetch_artifact(job["id"], "telemetry.jsonl").decode()
+    events = [json.loads(line) for line in telemetry.splitlines()]
+    verdicts = [e for e in events if e["event"] == "chaos_verdict"]
+    assert len(verdicts) == 1
+    assert verdicts[0]["job_id"] == job["id"]
+    assert verdicts[0]["campaign_id"] == results["campaign_id"]
+    assert verdicts[0]["task"] == results["tasks"][0]["task_id"]
+
+
 def test_resubmission_dedupes_to_byte_identical_artifacts(client):
     """Acceptance: identical spec => zero re-simulation, same bytes."""
     first = client.wait(client.submit(SPEC)["id"], timeout_s=60)
