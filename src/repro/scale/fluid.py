@@ -14,8 +14,10 @@ Cross-validation against the packet engine lives in
 
 from __future__ import annotations
 
+import array
 import bisect
 import dataclasses
+import functools
 import math
 import typing
 
@@ -43,7 +45,7 @@ class PiecewiseConstant:
                 f"need len(times) == len(values) + 1, got {len(times)}/{len(values)}"
             )
         for a, b in zip(times, times[1:]):
-            if b <= a:
+            if not b > a:  # also rejects NaN breakpoints
                 raise ValueError("times must be strictly ascending")
         self.times = list(times)
         self.values = list(values)
@@ -106,16 +108,28 @@ class PiecewiseConstant:
         return PiecewiseConstant(times, values)
 
     def bins(self, start: float, end: float, bin_s: float) -> np.ndarray:
-        """Per-bin integrals over ``[start, end)`` (e.g. bits per bin)."""
+        """Per-bin integrals over ``[start, end)`` (e.g. bits per bin).
+
+        Bit for bit ``integral(lo, hi)`` of every bin, in linear time:
+        the per-bin segment overlaps come from one sweep over the
+        breakpoints (:func:`_bin_overlaps`), which functions sharing
+        ``times`` -- a room's occupancy and the rates mapped from it --
+        reuse.
+        """
         if end <= start:
             raise ValueError(f"end ({end}) must exceed start ({start})")
-        n_bins = int(math.ceil((end - start) / bin_s))
-        out = np.zeros(n_bins)
-        for index in range(n_bins):
-            lo = start + index * bin_s
-            hi = min(end, lo + bin_s)
-            out[index] = self.integral(lo, hi)
-        return out
+        if not (math.isfinite(bin_s) and bin_s > 0):
+            raise ValueError(f"bin_s must be finite and positive, got {bin_s}")
+        n_bins, (bins, segments, widths) = _bin_overlaps(
+            tuple(self.times), start, end, bin_s
+        )
+        values = self.values
+        # Explicit accumulation in segment order, as in ``integral``:
+        # ``sum()`` of floats is compensated from CPython 3.12 on.
+        out = [0.0] * n_bins
+        for index, segment, width in zip(bins, segments, widths):
+            out[index] += values[segment] * width
+        return np.array(out, dtype=float)
 
     def to_series(self, start: float, end: float, bin_s: float) -> ThroughputSeries:
         """Bin a bits-per-second function into a ThroughputSeries —
@@ -141,6 +155,47 @@ class PiecewiseConstant:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+@functools.lru_cache(maxsize=8)
+def _bin_overlaps(
+    times: typing.Tuple[float, ...], start: float, end: float, bin_s: float
+) -> typing.Tuple[int, typing.Tuple[array.array, array.array, array.array]]:
+    """``(n_bins, (bins, segments, widths))`` for binning step functions
+    on ``times``.
+
+    The three parallel arrays list every ``(bin, segment, width)`` that
+    ``PiecewiseConstant.integral(lo, hi)`` adds to a bin, in the order
+    it adds them and with ``width`` computed by the same float
+    operations.  Bins only move right, so one pointer skips the
+    segments that end at or before each bin: every bin visits just the
+    segments overlapping it.  Compact arrays (24 bytes an overlap)
+    bound what the memo holds; widths are stored as doubles, exact for
+    float breakpoints.
+    """
+    n_bins = int(math.ceil((end - start) / bin_s))
+    n_segments = len(times) - 1
+    bins = array.array("q")
+    segments = array.array("q")
+    widths = array.array("d")
+    first = 0
+    for index in range(n_bins):
+        lo = start + index * bin_s
+        hi = min(end, lo + bin_s)
+        a = max(lo, times[0])
+        b = min(hi, times[-1])
+        if b <= a:
+            continue
+        while times[first + 1] <= a:
+            first += 1
+        segment = first
+        while segment < n_segments and times[segment] < b:
+            width = min(times[segment + 1], b) - max(times[segment], a)
+            bins.append(index)
+            segments.append(segment)
+            widths.append(width)
+            segment += 1
+    return n_bins, (bins, segments, widths)
 
 
 @dataclasses.dataclass
@@ -322,6 +377,18 @@ class FluidRoomResult:
         return self.egress_bps.peak()
 
 
+@functools.lru_cache(maxsize=1024)
+def _named_room_model(
+    platform: str,
+    n_users: int,
+    architecture: str,
+    viewport_factor: typing.Union[float, str, None],
+) -> RoomModel:
+    """``room_model`` for a platform given by name, shared across rooms
+    (a :class:`RoomModel` is frozen, so sharing one is safe)."""
+    return room_model(platform, n_users, architecture, viewport_factor=viewport_factor)
+
+
 def simulate_room(
     platform,
     n_users: int,
@@ -359,6 +426,8 @@ def simulate_room(
 
     def model_for(count: float) -> RoomModel:
         key = max(1, int(round(count)))
+        if isinstance(platform, str):
+            return _named_room_model(platform, key, architecture, viewport_factor)
         if key not in models:
             models[key] = room_model(
                 platform, key, architecture, viewport_factor=viewport_factor

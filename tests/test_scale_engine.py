@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
+from repro.platforms.profiles import get_profile
+from repro.scale import fluid
 from repro.scale import (
     ARCHITECTURES,
     PiecewiseConstant,
@@ -63,6 +67,89 @@ def test_piecewise_map_add_bins():
     assert np.allclose(bins, 7.5)
     series = f.scaled(8.0).to_series(0.0, 10.0, 1.0)
     assert series.bps.mean() == pytest.approx(24.0)
+
+
+def test_piecewise_rejects_nan_breakpoints():
+    with pytest.raises(ValueError, match="strictly ascending"):
+        PiecewiseConstant([0.0, math.nan, 2.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="strictly ascending"):
+        PiecewiseConstant([math.nan, 1.0], [1.0])
+
+
+@pytest.mark.parametrize("bin_s", [0, 0.0, -1, math.nan, math.inf, -math.inf])
+def test_bins_rejects_bad_bin_width(bin_s):
+    with pytest.raises(ValueError, match="bin_s"):
+        PiecewiseConstant([0, 1], [1.0]).bins(0, 1, bin_s)
+
+
+def _reference_bins(f, start, end, bin_s):
+    n_bins = int(math.ceil((end - start) / bin_s))
+    los = [start + index * bin_s for index in range(n_bins)]
+    return np.array([f.integral(lo, min(end, lo + bin_s)) for lo in los])
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _binning_cases(draw):
+    """A window, a bin width, and step functions sharing one breakpoint set.
+
+    Breakpoints mix exact bin edges (``start + k * bin_s``, the
+    expression ``bins`` uses) with free floats, so segments narrower
+    than a bin and segments spanning many bins both occur; the domain
+    may begin before or end after the window, and the window need not
+    be a multiple of ``bin_s``.
+    """
+    bin_s = draw(st.sampled_from([0.1, 1.0, 2.5, 5.0]) | st.floats(0.05, 20.0, **_finite))
+    start = draw(st.floats(-20.0, 20.0, **_finite))
+    end = start + draw(st.floats(0.01, 60.0, **_finite))
+    edges = [start + k * bin_s for k in draw(st.lists(st.integers(-3, 40), max_size=8))]
+    free = draw(st.lists(st.floats(-40.0, 100.0, **_finite), max_size=12))
+    times = sorted(set(edges + free))
+    if len(times) < 2:
+        times = [start, end]
+    segment_values = st.lists(
+        st.floats(-1e6, 1e6, **_finite),
+        min_size=len(times) - 1,
+        max_size=len(times) - 1,
+    )
+    functions = [
+        PiecewiseConstant(times, draw(segment_values))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return functions, start, end, bin_s
+
+
+@settings(max_examples=300, deadline=None)
+@given(_binning_cases())
+def test_bins_match_naive_integral_bit_for_bit(case):
+    functions, start, end, bin_s = case
+    hits = fluid._bin_overlaps.cache_info().hits
+    for f in functions:
+        expected = _reference_bins(f, start, end, bin_s)
+        got = f.bins(start, end, bin_s)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+    # Every function after the first reuses the memoized overlap table.
+    assert fluid._bin_overlaps.cache_info().hits >= hits + len(functions) - 1
+
+
+def test_bins_partial_last_bin_and_window_past_domain():
+    f = PiecewiseConstant([1.0, 2.0, 2.25, 7.0], [4.0, 8.0, 1.0])
+    got = f.bins(0.0, 9.0, 2.0)  # five bins, the last 1 s wide
+    assert got.tobytes() == _reference_bins(f, 0.0, 9.0, 2.0).tobytes()
+    assert got.tolist() == [4.0, 2.0 + 1.75, 2.0, 1.0, 0.0]
+
+
+def test_simulate_room_shares_named_models_without_changing_results():
+    named = simulate_room("vrchat", 10, 120.0, rng=random.Random(5))
+    profiled = simulate_room(get_profile("vrchat"), 10, 120.0, rng=random.Random(5))
+    assert named.egress_bps.values == profiled.egress_bps.values
+    assert named.viewer_down_bps.values == profiled.viewer_down_bps.values
+    hits = fluid._named_room_model.cache_info().hits
+    simulate_room("vrchat", 10, 120.0, rng=random.Random(5))
+    assert fluid._named_room_model.cache_info().hits > hits
 
 
 # ----------------------------------------------------------------------
