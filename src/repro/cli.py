@@ -34,6 +34,7 @@ run is slower than expected.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import typing
 
@@ -148,23 +149,25 @@ def _build_parser() -> argparse.ArgumentParser:
         "/events (SSE); 0 picks a free port (docs/OBSERVABILITY.md)",
     )
 
+    # Runner flags (see _runner_options); 'submit' shares the first set.
     runner = argparse.ArgumentParser(add_help=False)
     runner.add_argument(
         "--seeds",
         default="1",
         help="seed range: a count N (seeds 0..N-1) or an A:B half-open range",
     )
-    runner.add_argument("--workers", type=int, default=None)
     runner.add_argument(
         "--serial", action="store_true", help="run in-process, in plan order"
     )
     runner.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
-    runner.add_argument("--retries", type=int, default=2)
-    runner.add_argument("--cache-dir", default=".repro-cache")
-    runner.add_argument(
+    runner.add_argument("--retries", type=int, default=None)
+    local_runner = argparse.ArgumentParser(add_help=False)
+    local_runner.add_argument("--workers", type=int, default=None)
+    local_runner.add_argument("--cache-dir", default=".repro-cache")
+    local_runner.add_argument(
         "--no-cache", action="store_true", help="always execute; never read or write the cache"
     )
-    runner.add_argument(
+    local_runner.add_argument(
         "--telemetry", default=None, metavar="PATH", help="append JSONL events here"
     )
 
@@ -231,6 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "campaign",
         live,
         runner,
+        local_runner,
         help="run an experiment matrix in parallel with caching + telemetry",
     )
     campaign.add_argument(
@@ -255,6 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "chaos",
         live,
         runner,
+        local_runner,
         help="run fault-injection resiliency campaigns (docs/CHAOS.md)",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=_chaos_catalog_text(),
@@ -287,6 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "qoe",
         live,
         runner,
+        local_runner,
         help="score per-user experience (MOS windows + SLOs, docs/QOE.md)",
     )
     qoe.add_argument(
@@ -488,14 +494,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     submit = sub.add_parser(
         "submit",
-        parents=[client_common],
+        parents=[client_common, runner],
         help="submit a campaign spec to a serve daemon",
     )
     submit.add_argument(
         "--experiments", nargs="+", default=None, help="registry names"
-    )
-    submit.add_argument(
-        "--seeds", default="1", help="seed count N or A:B half-open range"
     )
     submit.add_argument(
         "--param",
@@ -511,11 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="submit this JSON spec file instead of building one from flags",
     )
     submit.add_argument("--priority", type=int, default=0)
-    submit.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
-    submit.add_argument("--retries", type=int, default=2)
-    submit.add_argument(
-        "--serial", action="store_true", help="ask the worker to run in-process"
-    )
     submit.add_argument(
         "--collect-obs",
         action="store_true",
@@ -797,18 +795,33 @@ def _seeds(args) -> list:
         raise SystemExit(2) from None
 
 
-def _runner_kwargs(args) -> dict:
-    """The shared runner flags as :func:`repro.runner.run_campaign` kwargs."""
-    return dict(
-        parallel=not args.serial,
-        max_workers=args.workers,
-        timeout_s=args.timeout,
-        max_retries=args.retries,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        telemetry_path=args.telemetry,
-        metrics_dir=args.metrics_out,
-        collect_obs=args.profile,
-    )
+def _runner_options(args):
+    """The runner flags on ``args`` as a checked ``RunnerOptions``.
+
+    Flags left unset (``None``) take the RunnerOptions defaults.
+    """
+    flags = dict(parallel=not args.serial, timeout_s=args.timeout, max_retries=args.retries)
+    if "workers" in args:  # the local-run flags
+        flags.update(
+            max_workers=args.workers,
+            cache_dir=None if args.no_cache else args.cache_dir,
+            telemetry_path=args.telemetry,
+            metrics_dir=args.metrics_out,
+            collect_obs=args.profile,
+        )
+    fields = {name: value for name, value in flags.items() if value is not None}
+    return _checked_options(**fields)
+
+
+def _checked_options(**fields):
+    """``RunnerOptions(**fields)``; a bad value is a one-line exit 2."""
+    from .runner import RunnerOptions
+
+    try:
+        return RunnerOptions(**fields)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _finish_campaign(args, campaign) -> int:
@@ -898,6 +911,7 @@ def _cmd_campaign(args) -> int:
     from .measure.experiment import registry
     from .runner import CampaignPlan, run_campaign
 
+    options = _runner_options(args)
     names = list(args.experiments)
     if names == ["all"]:
         names = list(registry())
@@ -910,7 +924,7 @@ def _cmd_campaign(args) -> int:
         return 2
     with _maybe_live(args):
         print(f"Running {plan.describe()}...")
-        campaign = run_campaign(plan, **_runner_kwargs(args))
+        campaign = run_campaign(plan, **dataclasses.asdict(options))
     rows = []
     for name in plan.experiments:
         per = [r for r in campaign if r.spec.experiment == name]
@@ -953,6 +967,7 @@ def _cmd_chaos(args) -> int:
     from .chaos import build_chaos_plan
     from .runner import run_campaign
 
+    options = _runner_options(args)
     print(_chaos_catalog_text())
     print()
     try:
@@ -963,7 +978,7 @@ def _cmd_chaos(args) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
     with _maybe_live(args):
-        campaign = run_campaign(plan, **_runner_kwargs(args))
+        campaign = run_campaign(plan, **dataclasses.asdict(options))
     verdicts = campaign.cells("chaos")
     rows = []
     for verdict in verdicts:
@@ -1022,6 +1037,7 @@ def _cmd_qoe(args) -> int:
     from .qoe import SloSpec, build_qoe_plan, evaluate_slo, mos_label
     from .runner import run_campaign
 
+    options = _runner_options(args)
     try:
         slo_specs = [SloSpec.parse(text) for text in args.slo]
     except ValueError as exc:
@@ -1036,7 +1052,7 @@ def _cmd_qoe(args) -> int:
         intensity=args.intensity,
     )
     with _maybe_live(args):
-        campaign = run_campaign(plan, **_runner_kwargs(args))
+        campaign = run_campaign(plan, **dataclasses.asdict(options))
     results = campaign.cells("qoe-score")
     if args.scenario:
         print(
@@ -1250,6 +1266,7 @@ def _cmd_public_event(args) -> int:
 def _cmd_scale(args) -> int:
     from .scale import ScaleScenario, capacity_table, plan_capacity, run_sharded
 
+    _checked_options(max_workers=args.workers)
     scenario = ScaleScenario(
         platform=args.platform,
         architecture=args.architecture,
@@ -1387,6 +1404,25 @@ def _serve_client(args):
     return ServeClient(args.url, token=args.token)
 
 
+def _serve_client_command(handler):
+    """A serve-client subcommand whose API, network and spec-file
+    errors print one ``error:`` line (plus any spec details) and exit 2."""
+
+    def run(args) -> int:
+        from .serve import ServeApiError
+
+        try:
+            return handler(args)
+        except (ServeApiError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            body = getattr(exc, "body", None)
+            for detail in body.get("errors", []) if isinstance(body, dict) else []:
+                print(f"  - {detail}", file=sys.stderr)
+            return 2
+
+    return run
+
+
 def _print_job(job: dict, as_json: bool) -> None:
     import json
 
@@ -1410,11 +1446,13 @@ def _print_job(job: dict, as_json: bool) -> None:
     print(render_table(["Field", "Value"], rows))
 
 
+@_serve_client_command
 def _cmd_submit(args) -> int:
     import json
 
-    from .serve import ServeApiError
+    from .serve.schema import RUNNER_KEYS
 
+    options = _runner_options(args)
     if args.spec:
         with open(args.spec) as handle:
             spec = json.load(handle)
@@ -1427,42 +1465,28 @@ def _cmd_submit(args) -> int:
             "seeds": args.seeds,
             "grid": _parse_grid(args.param),
             "priority": args.priority,
-            "max_retries": args.retries,
-            "parallel": not args.serial,
             "collect_obs": args.collect_obs,
+            **{key: getattr(options, key) for key in RUNNER_KEYS},
         }
-        if args.timeout is not None:
-            spec["timeout_s"] = args.timeout
     client = _serve_client(args)
-    try:
-        job = client.submit(spec)
-        if args.wait:
-            job = client.wait(job["id"])
-    except ServeApiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for detail in (exc.body or {}).get("errors", []) if isinstance(exc.body, dict) else []:
-            print(f"  - {detail}", file=sys.stderr)
-        return 2
+    job = client.submit(spec)
+    if args.wait:
+        job = client.wait(job["id"])
     _print_job(job, args.json)
     if job["state"] in ("failed", "cancelled"):
         return 1
     return 0
 
 
+@_serve_client_command
 def _cmd_status(args) -> int:
     import json
 
-    from .serve import ServeApiError
-
     client = _serve_client(args)
-    try:
-        if args.job:
-            _print_job(client.job(args.job), args.json)
-            return 0
-        jobs = client.jobs(state=args.state)
-    except ServeApiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.job:
+        _print_job(client.job(args.job), args.json)
+        return 0
+    jobs = client.jobs(state=args.state)
     if args.json:
         print(json.dumps(jobs, sort_keys=True, indent=1))
         return 0
@@ -1487,25 +1511,20 @@ def _cmd_status(args) -> int:
     return 0
 
 
+@_serve_client_command
 def _cmd_artifacts(args) -> int:
     import json
     import os
 
-    from .serve import ServeApiError
-
     client = _serve_client(args)
-    try:
-        listing = client.artifacts(args.job)
-        if args.fetch:
-            for name in listing["artifacts"]:
-                blob = client.fetch_artifact(args.job, name)
-                path = os.path.join(args.fetch, name)
-                os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-                with open(path, "wb") as handle:
-                    handle.write(blob)
-    except ServeApiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    listing = client.artifacts(args.job)
+    if args.fetch:
+        for name in listing["artifacts"]:
+            blob = client.fetch_artifact(args.job, name)
+            path = os.path.join(args.fetch, name)
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            with open(path, "wb") as handle:
+                handle.write(blob)
     if args.json:
         print(json.dumps(listing, sort_keys=True, indent=1))
     else:

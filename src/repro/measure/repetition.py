@@ -122,7 +122,6 @@ def _run_parallel(
         parallel=True,
         max_workers=max_workers,
         cache_dir=cache_dir,
-        use_cache=cache_dir is not None,
     )
     if not campaign.ok:
         first = campaign.failures[0]

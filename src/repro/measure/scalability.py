@@ -120,15 +120,11 @@ def run_user_sweep(
     """Figs. 7/8: measure U1 as the event population grows.
 
     Each user-count point is an independent testbed build with its own
-    seed, so the sweep runs as a campaign: one task per point, executed
-    on the :mod:`repro.runner` process pool when safe (top-level
-    process, no active obs collector) and serially otherwise.  Results
-    are identical either way — every point owns its seed.
+    seed, so the sweep runs as a campaign: one task per point, on the
+    process pool where :func:`repro.runner.pool_is_safe` allows one and
+    serially otherwise.  Results are identical either way.
     """
-    import multiprocessing
-
-    from ..obs.context import active_collector
-    from ..runner import TaskSpec, run_campaign
+    from ..runner import TaskSpec, pool_is_safe, run_campaign
 
     if not isinstance(platform, str):
         # Profile objects are not worth shipping to workers; keep the
@@ -145,14 +141,8 @@ def run_user_sweep(
         )
         for index, count in enumerate(user_counts)
     ]
-    parallel = (
-        len(specs) > 1
-        and multiprocessing.parent_process() is None
-        and active_collector() is None
-    )
-    campaign = run_campaign(
-        specs, parallel=parallel, max_retries=0, use_cache=False, cache_dir=None
-    )
+    parallel = len(specs) > 1 and pool_is_safe()
+    campaign = run_campaign(specs, parallel=parallel, max_retries=0)
     if campaign.failures:
         failure = campaign.failures[0]
         raise RuntimeError(

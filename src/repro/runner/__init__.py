@@ -36,8 +36,8 @@ import typing
 
 from ..measure.experiment import get_experiment
 from .cache import ResultCache
-from .executor import CampaignExecutor, TaskResult, set_live_queue
-from .plan import CampaignPlan, TaskSpec, campaign_id_for, experiment_accepts_seed
+from .executor import CampaignExecutor, TaskResult, pool_is_safe, set_live_queue
+from .plan import CampaignPlan, RunnerOptions, TaskSpec, campaign_id_for, experiment_accepts_seed
 from .telemetry import CampaignSummary, TelemetryWriter
 
 __all__ = [
@@ -46,17 +46,15 @@ __all__ = [
     "CampaignSummary",
     "CampaignExecutor",
     "ResultCache",
+    "RunnerOptions",
     "TaskResult",
     "TaskSpec",
     "TelemetryWriter",
     "campaign_id_for",
     "experiment_accepts_seed",
+    "pool_is_safe",
     "run_campaign",
 ]
-
-#: Default on-disk cache location (gitignored).
-DEFAULT_CACHE_DIR = ".repro-cache"
-
 
 def task_dump_filename(task_id: str) -> str:
     """Filesystem-safe per-task dump filename embedding the task id.
@@ -182,22 +180,17 @@ class CampaignResult:
 def run_campaign(
     plan: typing.Union[CampaignPlan, typing.Iterable[TaskSpec]],
     *,
-    parallel: bool = True,
-    max_workers: typing.Optional[int] = None,
-    timeout_s: typing.Optional[float] = None,
-    max_retries: int = 2,
-    backoff_s: float = 0.05,
-    cache_dir: typing.Optional[str] = None,
-    use_cache: bool = True,
     telemetry: typing.Optional[TelemetryWriter] = None,
-    telemetry_path: typing.Optional[str] = None,
-    collect_obs: bool = False,
-    metrics_dir: typing.Optional[str] = None,
+    **options: typing.Any,
 ) -> CampaignResult:
     """Run every task of ``plan``, reusing cached results for the delta.
 
-    ``cache_dir=None`` (the CLI's ``--no-cache``) disables the cache
-    entirely, as does ``use_cache=False``; with a cache, a
+    ``options`` are the :class:`RunnerOptions` fields; a bad value
+    raises ``ValueError`` before any task runs.  ``telemetry`` is an
+    open writer to use instead of one opened at ``telemetry_path``.
+
+    ``cache_dir=None`` (the default, and the CLI's ``--no-cache``)
+    disables the cache; with a cache, a
     re-run of an unchanged plan performs zero task executions.  Failed
     tasks are retried ``max_retries`` times and then recorded as
     failures without aborting the campaign; inspect
@@ -227,26 +220,22 @@ def run_campaign(
     """
     from ..obs.live import active_live_server
 
+    opts = RunnerOptions(**options)
     tasks = list(plan)
     campaign_id = campaign_id_for(tasks)
     own_telemetry = telemetry is None
     if telemetry is None:
-        telemetry = TelemetryWriter(
-            telemetry_path, context={"campaign_id": campaign_id}
-        )
+        telemetry = TelemetryWriter(opts.telemetry_path, context={"campaign_id": campaign_id})
     live = active_live_server()
     if live is not None:
         telemetry.add_listener(live.on_telemetry)
-        collect_obs = True
-    cache = None
-    if use_cache and cache_dir is not None:
-        cache = ResultCache(cache_dir)
+    cache = None if opts.cache_dir is None else ResultCache(opts.cache_dir)
     started = time.monotonic()
     telemetry.emit(
         "campaign_start",
         n_tasks=len(tasks),
-        parallel=parallel,
-        max_workers=max_workers,
+        parallel=opts.parallel,
+        max_workers=opts.max_workers,
         cache_dir=getattr(cache, "root", None),
     )
 
@@ -268,14 +257,9 @@ def run_campaign(
                 continue
         to_run.append((index, task))
 
-    collect_obs = collect_obs or metrics_dir is not None
-    executor = CampaignExecutor(
-        max_workers=max_workers,
-        timeout_s=timeout_s,
-        max_retries=max_retries,
-        backoff_s=backoff_s,
-        collect_obs=collect_obs,
-    )
+    if live is not None or opts.metrics_dir is not None:
+        opts = dataclasses.replace(opts, collect_obs=True)
+    executor = CampaignExecutor(opts)
     live_queue = None
     if live is not None and to_run:
         # Workers stream end-of-task metric deltas over this queue;
@@ -292,7 +276,7 @@ def run_campaign(
     try:
         if to_run:
             specs = [task for _, task in to_run]
-            if parallel:
+            if opts.parallel:
                 executed = executor.run(specs, telemetry)
             else:
                 executed = executor.run_serial(specs, telemetry)
@@ -309,15 +293,15 @@ def run_campaign(
                             task_result.spec.task_id,
                             task_result.metrics.get("registry"),
                         )
-                if metrics_dir is not None and task_result.metrics is not None:
-                    path = _write_task_metrics(metrics_dir, task_result, telemetry)
+                if opts.metrics_dir is not None and task_result.metrics is not None:
+                    path = _write_task_metrics(opts.metrics_dir, task_result, telemetry)
                     dump_names[task_result.spec.task_id] = os.path.basename(path)
     finally:
         if live_queue is not None:
             set_live_queue(None)
 
     final = typing.cast(typing.List[TaskResult], results)
-    if metrics_dir is not None:
+    if opts.metrics_dir is not None:
         from ..obs.fleet import (
             REGISTRY_FILENAME,
             FleetAggregator,
@@ -328,10 +312,10 @@ def run_campaign(
         for result in final:
             if result.metrics is not None:
                 aggregator.add_dump(result.metrics.get("registry"))
-        registry_path = os.path.join(metrics_dir, REGISTRY_FILENAME)
+        registry_path = os.path.join(opts.metrics_dir, REGISTRY_FILENAME)
         write_campaign_registry(aggregator, registry_path, campaign_id=campaign_id)
         index_path = _write_campaign_index(
-            metrics_dir, campaign_id, final, dump_names
+            opts.metrics_dir, campaign_id, final, dump_names
         )
         telemetry.emit(
             "campaign_index",

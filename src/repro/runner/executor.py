@@ -35,8 +35,9 @@ import typing
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
+from ..obs.context import active_collector
 from ..obs.context import collect as _collect_obs
-from .plan import TaskSpec
+from .plan import RunnerOptions, TaskSpec
 from .telemetry import TelemetryWriter
 
 #: Per-simulation trace-buffer bound for campaign tasks.  A campaign
@@ -61,6 +62,13 @@ def set_live_queue(queue) -> None:
     """Install (or clear, with ``None``) the live stream for workers."""
     global _LIVE_QUEUE
     _LIVE_QUEUE = queue
+
+
+def pool_is_safe() -> bool:
+    """Whether this process may start a worker pool: not from inside a
+    pool worker (no nested pools) and not under an active obs collector
+    (whose registries are process-local)."""
+    return multiprocessing.parent_process() is None and active_collector() is None
 
 
 def _live_put(payload: dict) -> None:
@@ -149,20 +157,13 @@ class CampaignExecutor:
 
     def __init__(
         self,
-        max_workers: typing.Optional[int] = None,
-        timeout_s: typing.Optional[float] = None,
-        max_retries: int = 2,
-        backoff_s: float = 0.05,
+        options: RunnerOptions = RunnerOptions(),
         poll_interval_s: float = 0.05,
         start_method: typing.Optional[str] = None,
-        collect_obs: bool = False,
     ) -> None:
-        self.max_workers = max_workers or (os.cpu_count() or 2)
-        self.timeout_s = timeout_s
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
+        self.options = options
+        self.max_workers = options.max_workers or (os.cpu_count() or 2)
         self.poll_interval_s = poll_interval_s
-        self.collect_obs = collect_obs
         if start_method is None:
             # fork keeps dynamically registered experiments (test stubs,
             # notebook one-offs) visible in workers; fall back where the
@@ -197,10 +198,10 @@ class CampaignExecutor:
                 )
                 started = time.perf_counter()
                 try:
-                    reply = _execute_in_worker(spec, self.collect_obs)
+                    reply = _execute_in_worker(spec, self.options.collect_obs)
                 except Exception as exc:  # noqa: BLE001 - task code is arbitrary
                     reason = f"{type(exc).__name__}: {exc}"
-                    if attempt <= self.max_retries:
+                    if attempt <= self.options.max_retries:
                         backoff = self._backoff(attempt)
                         telemetry.emit(
                             "task_retry",
@@ -261,17 +262,7 @@ class CampaignExecutor:
             while len(results) < len(tasks):
                 now = time.monotonic()
                 if not self._submit_ready(pool, pending, inflight, telemetry, now):
-                    # The pool broke while submitting; drain whatever was
-                    # in flight through normal bookkeeping and rebuild.
-                    finished, unresolved = wait(set(inflight), timeout=5.0)
-                    for future in finished:
-                        attempt, _deadline = inflight.pop(future)
-                        self._collect(future, attempt, results, pending, telemetry)
-                    for future in unresolved:  # pragma: no cover - defensive
-                        attempt, _deadline = inflight.pop(future)
-                        pending.append(attempt)
-                    pool.shutdown(wait=False)
-                    pool = self._new_pool()
+                    pool = self._drain_and_rebuild(pool, inflight, results, pending, telemetry)
                     continue
                 if not inflight:
                     # Everything runnable is backing off; sleep to the
@@ -288,18 +279,7 @@ class CampaignExecutor:
                     attempt, _deadline = inflight.pop(future)
                     broken |= self._collect(future, attempt, results, pending, telemetry)
                 if broken:
-                    # Every surviving in-flight future is already (or is
-                    # about to be) failed with BrokenProcessPool; drain
-                    # them through the same bookkeeping, then rebuild.
-                    finished, unresolved = wait(set(inflight), timeout=5.0)
-                    for future in finished:
-                        attempt, _deadline = inflight.pop(future)
-                        self._collect(future, attempt, results, pending, telemetry)
-                    for future in unresolved:  # pragma: no cover - defensive
-                        attempt, _deadline = inflight.pop(future)
-                        pending.append(attempt)
-                    pool.shutdown(wait=False)
-                    pool = self._new_pool()
+                    pool = self._drain_and_rebuild(pool, inflight, results, pending, telemetry)
                     continue
                 timed_out = [
                     (future, pair)
@@ -316,7 +296,7 @@ class CampaignExecutor:
                         if future in culprits:
                             self._handle_failure(
                                 attempt,
-                                f"timeout after {self.timeout_s}s",
+                                f"timeout after {self.options.timeout_s}s",
                                 results,
                                 pending,
                                 telemetry,
@@ -345,9 +325,25 @@ class CampaignExecutor:
         context = multiprocessing.get_context(self.start_method)
         return ProcessPoolExecutor(max_workers=self.max_workers, mp_context=context)
 
+    def _drain_and_rebuild(
+        self, pool, inflight, results, pending, telemetry
+    ) -> ProcessPoolExecutor:
+        """Replace a broken pool, first draining its in-flight futures
+        (all failed or failing with ``BrokenProcessPool``) through the
+        normal bookkeeping; any that never resolve are requeued."""
+        finished, unresolved = wait(set(inflight), timeout=5.0)
+        for future in finished:
+            attempt, _deadline = inflight.pop(future)
+            self._collect(future, attempt, results, pending, telemetry)
+        for future in unresolved:  # pragma: no cover - defensive
+            attempt, _deadline = inflight.pop(future)
+            pending.append(attempt)
+        pool.shutdown(wait=False)
+        return self._new_pool()
+
     def _submit_ready(self, pool, pending, inflight, telemetry, now) -> bool:
         """Top up the in-flight window; False if the pool broke mid-submit."""
-        deadline = now + self.timeout_s if self.timeout_s else math.inf
+        deadline = now + self.options.timeout_s if self.options.timeout_s else math.inf
         blocked: typing.List[_Attempt] = []
         healthy = True
         while healthy and pending and len(inflight) < self.max_workers:
@@ -356,7 +352,7 @@ class CampaignExecutor:
                 blocked.append(attempt)
                 continue
             try:
-                future = pool.submit(_execute_in_worker, attempt.spec, self.collect_obs)
+                future = pool.submit(_execute_in_worker, attempt.spec, self.options.collect_obs)
             except Exception:  # BrokenProcessPool or shutdown race
                 pending.appendleft(attempt)
                 healthy = False
@@ -407,7 +403,7 @@ class CampaignExecutor:
         return False
 
     def _handle_failure(self, attempt, reason, results, pending, telemetry) -> None:
-        if attempt.attempt <= self.max_retries:
+        if attempt.attempt <= self.options.max_retries:
             backoff = self._backoff(attempt.attempt)
             telemetry.emit(
                 "task_retry",
@@ -432,7 +428,7 @@ class CampaignExecutor:
         )
 
     def _backoff(self, attempt: int) -> float:
-        return self.backoff_s * (2 ** (attempt - 1))
+        return self.options.backoff_s * (2 ** (attempt - 1))
 
     @staticmethod
     def _terminate_pool(pool: ProcessPoolExecutor) -> None:

@@ -164,6 +164,54 @@ def parse_seeds(value: typing.Any) -> typing.List[int]:
     return seeds
 
 
+@dataclasses.dataclass(frozen=True)
+class RunnerOptions:
+    """How a campaign runs: the one declaration of the runner options,
+    taken as keywords by :func:`repro.runner.run_campaign` and mapped
+    from the CLI flags and serve spec keys.  ``cache_dir=None`` runs
+    uncached; construction raises ``ValueError`` on any :meth:`problems`.
+    """
+
+    parallel: bool = True
+    max_workers: typing.Optional[int] = None
+    timeout_s: typing.Optional[float] = None
+    max_retries: int = 2
+    backoff_s: float = 0.05
+    cache_dir: typing.Optional[str] = None
+    telemetry_path: typing.Optional[str] = None
+    metrics_dir: typing.Optional[str] = None
+    collect_obs: bool = False
+
+    def __post_init__(self) -> None:
+        errors = self.problems(vars(self))
+        if errors:
+            raise ValueError("; ".join(errors))
+
+    @classmethod
+    def problems(cls, values: typing.Mapping[str, typing.Any]) -> typing.List[str]:
+        """Every problem with the fields in ``values`` as readable strings;
+        absent fields take their defaults and other keys are ignored."""
+
+        def get(name: str) -> typing.Any:
+            return values.get(name, cls.__dataclass_fields__[name].default)
+
+        def is_int(value: typing.Any) -> bool:
+            return isinstance(value, int) and not isinstance(value, bool)
+
+        bools = ("parallel", "collect_obs")
+        errors = [f"{key!r} must be a boolean" for key in bools if not isinstance(get(key), bool)]
+        workers, timeout, retries = get("max_workers"), get("timeout_s"), get("max_retries")
+        if workers is not None and not (is_int(workers) and workers >= 1):
+            errors.append("'max_workers' must be a positive integer or null")
+        if timeout is not None and not (
+            (is_int(timeout) or isinstance(timeout, float)) and timeout > 0
+        ):
+            errors.append("'timeout_s' must be a positive number or null")
+        if not (is_int(retries) and retries >= 0):
+            errors.append("'max_retries' must be a non-negative integer")
+        return errors
+
+
 def experiment_accepts_seed(name: str) -> bool:
     """Whether the registered experiment takes a ``seed`` parameter."""
     return _accepts_param(name, "seed")

@@ -231,25 +231,19 @@ def run_sharded(
 ) -> ScaleResult:
     """Fan ``n_rooms`` fluid rooms out over the campaign executor.
 
-    ``parallel=None`` auto-disables the process pool inside campaign
-    workers (no nested pools) and under an active obs collector (whose
-    registries are process-local).
+    ``parallel=None`` uses the process pool only where
+    :func:`repro.runner.pool_is_safe` allows one.
     """
-    import multiprocessing
     import os
 
-    from ..runner import TaskSpec, run_campaign
+    from ..runner import TaskSpec, pool_is_safe, run_campaign
 
     started = time.perf_counter()
     if shards is None:
         shards = min(4 * (os.cpu_count() or 4), max(1, n_rooms // 50) or 1)
     ranges = shard_ranges(n_rooms, shards)
     if parallel is None:
-        parallel = (
-            len(ranges) > 1
-            and multiprocessing.parent_process() is None
-            and active_collector() is None
-        )
+        parallel = len(ranges) > 1 and pool_is_safe()
     scenario_dict = dataclasses.asdict(scenario)
     specs = [
         TaskSpec.create(
@@ -264,8 +258,6 @@ def run_sharded(
         parallel=parallel,
         max_workers=max_workers,
         max_retries=0,
-        use_cache=False,
-        cache_dir=None,
     )
     if campaign.failures:
         failure = campaign.failures[0]

@@ -31,34 +31,26 @@ from __future__ import annotations
 import typing
 
 from ..measure.experiment import get_experiment
-from ..runner import CampaignPlan
+from ..runner import CampaignPlan, RunnerOptions
 from ..runner.plan import parse_seeds
 
-#: Every key a campaign spec may carry, with its expected shape.
-SPEC_KEYS = (
-    "experiments",
-    "grid",
-    "seeds",
-    "base_kwargs",
-    "priority",
-    "parallel",
-    "max_workers",
-    "timeout_s",
-    "max_retries",
-    "collect_obs",
-)
+#: Runner options a spec may set; their defaults, types and ranges
+#: come from :class:`repro.runner.RunnerOptions`.
+RUNNER_KEYS = ("parallel", "max_workers", "timeout_s", "max_retries")
 
+#: Defaults of every optional spec key.  ``collect_obs`` is the
+#: service's own: it keeps per-task obs dumps as job artifacts.
 DEFAULTS: typing.Dict[str, typing.Any] = {
     "grid": {},
     "seeds": [0],
     "base_kwargs": {},
     "priority": 0,
-    "parallel": True,
-    "max_workers": None,
-    "timeout_s": None,
-    "max_retries": 2,
+    **{key: getattr(RunnerOptions(), key) for key in RUNNER_KEYS},
     "collect_obs": False,
 }
+
+#: Every key a campaign spec may carry.
+SPEC_KEYS = ("experiments", *DEFAULTS)
 
 
 class SpecError(ValueError):
@@ -102,27 +94,10 @@ def validate_spec(spec: typing.Any) -> typing.List[str]:
         parse_seeds(spec.get("seeds", DEFAULTS["seeds"]))
     except (ValueError, TypeError) as exc:
         errors.append(f"'seeds': {exc}")
-    for key in ("priority", "max_retries"):
-        value = spec.get(key, DEFAULTS[key])
-        if not isinstance(value, int) or isinstance(value, bool):
-            errors.append(f"{key!r} must be an integer")
-    for key in ("parallel", "collect_obs"):
-        if not isinstance(spec.get(key, DEFAULTS[key]), bool):
-            errors.append(f"{key!r} must be a boolean")
-    max_workers = spec.get("max_workers", None)
-    if max_workers is not None and (
-        not isinstance(max_workers, int)
-        or isinstance(max_workers, bool)
-        or max_workers < 1
-    ):
-        errors.append("'max_workers' must be a positive integer or null")
-    timeout_s = spec.get("timeout_s", None)
-    if timeout_s is not None and (
-        isinstance(timeout_s, bool)
-        or not isinstance(timeout_s, (int, float))
-        or timeout_s <= 0
-    ):
-        errors.append("'timeout_s' must be a positive number or null")
+    priority = spec.get("priority", DEFAULTS["priority"])
+    if not isinstance(priority, int) or isinstance(priority, bool):
+        errors.append("'priority' must be an integer")
+    errors.extend(RunnerOptions.problems(spec))
     return errors
 
 

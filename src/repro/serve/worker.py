@@ -32,7 +32,7 @@ import typing
 
 from ..runner import TelemetryWriter, run_campaign
 from .queue import QUEUE_FILENAME, Job, JobQueue
-from .schema import SpecError, normalize_spec, plan_from_spec
+from .schema import RUNNER_KEYS, SpecError, normalize_spec, plan_from_spec
 from .store import ArtifactStore
 
 #: One live observability plane per process: run_campaign feeds the
@@ -140,14 +140,10 @@ class ServeWorker:
                 self._maybe_attach_live(stack, job)
                 campaign = run_campaign(
                     plan,
-                    parallel=spec["parallel"],
-                    max_workers=spec["max_workers"],
-                    timeout_s=spec["timeout_s"],
-                    max_retries=spec["max_retries"],
-                    cache_dir=self.store.cas_dir,
-                    use_cache=True,
                     telemetry=telemetry,
+                    cache_dir=self.store.cas_dir,
                     metrics_dir=metrics_dir,
+                    **{key: spec[key] for key in RUNNER_KEYS},
                 )
             artifacts = self.store.write_results(job.tenant, job.id, plan, campaign)
             summary = campaign.summary.as_dict()

@@ -204,11 +204,12 @@ def test_no_cache_escape_hatch(tmp_path):
     plan = CampaignPlan.from_matrix(
         ["stub-sleep"], grid={"sleep_s": [0.0]}, seeds=range(3)
     )
-    run_campaign(plan, parallel=False, cache_dir=cache_dir)
-    uncached = run_campaign(
-        plan, parallel=False, cache_dir=cache_dir, use_cache=False
-    )
+    uncached = run_campaign(plan, parallel=False, cache_dir=None)
     assert uncached.summary.executed == 3 and uncached.summary.cache_hits == 0
+    assert not os.path.exists(cache_dir)  # no cache entries were written
+    run_campaign(plan, parallel=False, cache_dir=cache_dir)
+    again = run_campaign(plan, parallel=False, cache_dir=None)
+    assert again.summary.executed == 3 and again.summary.cache_hits == 0
 
 
 def test_result_cache_roundtrip_and_corruption(tmp_path):

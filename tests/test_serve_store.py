@@ -112,9 +112,7 @@ def test_put_enforces_cap_automatically(tmp_path):
 # ----------------------------------------------------------------------
 def _run_job(store, job_id, tenant="acme", seeds=(0, 1)):
     plan = CampaignPlan.from_matrix(["store-stub"], seeds=list(seeds))
-    campaign = run_campaign(
-        plan, parallel=False, cache_dir=store.cas_dir, use_cache=True
-    )
+    campaign = run_campaign(plan, parallel=False, cache_dir=store.cas_dir)
     store.write_spec(tenant, job_id, {"experiments": ["store-stub"]})
     artifacts = store.write_results(tenant, job_id, plan, campaign)
     return plan, campaign, artifacts
