@@ -29,6 +29,8 @@ from __future__ import annotations
 import collections
 import contextlib
 import json
+import selectors
+import socket
 import threading
 import time
 import typing
@@ -42,10 +44,57 @@ _ACTIVE_SERVER: typing.Optional["LiveObsServer"] = None
 
 #: Telemetry events that mark a task as no longer running.
 _TERMINAL_TASK_EVENTS = ("task_end", "task_fail", "task_retry")
-#: ``serve_forever`` poll interval of the HTTP planes here and in
-#: :mod:`repro.serve.api`: ``shutdown()`` blocks until the next poll,
-#: so the stdlib default (0.5 s) would be paid on every close.
-SERVE_POLL_S = 0.05
+
+
+class WakeableHTTPServer(ThreadingHTTPServer):
+    """A :class:`ThreadingHTTPServer` on its own thread that closes
+    without waiting out a poll interval.
+
+    ``serve_forever`` notices ``shutdown()`` only at its next poll, so
+    every close would cost up to one interval.  Here the accept loop
+    blocks on a selector over the listening socket and one end of a
+    socket pair; :meth:`close` writes to the other end, which ends the
+    loop at once.  Used by the live plane and by the serve daemon's
+    API (:mod:`repro.serve.api`).
+    """
+
+    daemon_threads = True
+    #: ``handle_request`` runs only once the selector saw a pending
+    #: connection; a zero timeout keeps it from blocking if the
+    #: connection vanished in between.
+    timeout = 0
+
+    def __init__(self, address, handler, thread_name: str) -> None:
+        super().__init__(address, handler)
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._thread = threading.Thread(
+            target=self._serve, name=thread_name, daemon=True
+        )
+
+    def start(self) -> None:
+        self._thread.start()
+
+    def _serve(self) -> None:
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wake_r, selectors.EVENT_READ)
+            while True:
+                ready = {key.fileobj for key, _ in selector.select()}
+                if self._wake_r in ready:
+                    return
+                self.handle_request()
+
+    def close(self) -> None:
+        """Stop accepting, join the accept thread, release the sockets.
+        Handler threads already running finish on their own."""
+        if self._wake_w.fileno() < 0:  # already closed
+            return
+        self._wake_w.send(b"\0")
+        if self._thread.ident is not None:
+            self._thread.join()
+        self.server_close()
+        self._wake_r.close()
+        self._wake_w.close()
 
 
 class LivePortBusyError(OSError):
@@ -116,23 +165,18 @@ class LiveObsServer:
 
         handler = _make_handler(self)
         try:
-            self._httpd = ThreadingHTTPServer((host, port), handler)
+            self._httpd = WakeableHTTPServer(
+                (host, port), handler, thread_name="repro-live-http"
+            )
         except OSError as exc:
             raise LivePortBusyError(
                 f"cannot serve live observability on {host}:{port} "
                 f"({exc.strerror or exc}); pick a different port, or use "
                 f"port 0 to let the OS choose a free one"
             ) from exc
-        self._httpd.daemon_threads = True
         self.host = host
         self.port = self._httpd.server_address[1]
-        self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            args=(SERVE_POLL_S,),
-            name="repro-live-http",
-            daemon=True,
-        )
-        self._serve_thread.start()
+        self._httpd.start()
 
     # ------------------------------------------------------------------
     # Feeding (called by the runner / telemetry / queue drain)
@@ -304,8 +348,7 @@ class LiveObsServer:
             self._drain_thread.join(timeout=2.0)
         with self._cond:
             self._cond.notify_all()
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        self._httpd.close()
 
     def __enter__(self) -> "LiveObsServer":
         return self

@@ -101,9 +101,13 @@ class PiecewiseCurve:
         if value >= points[-1][0]:
             return points[-1][1]
         for (x0, s0), (x1, s1) in zip(points, points[1:]):
-            if value <= x1:
-                frac = (value - x0) / (x1 - x0)
-                return s0 + frac * (s1 - s0)
+            if value < x1:
+                score = s0 + (value - x0) / (x1 - x0) * (s1 - s0)
+                # ``s1 - s0`` may round up in magnitude, so the sum can
+                # pass ``s1`` by an ulp; capping keeps the curve monotone.
+                return min(score, s1) if s0 <= s1 else max(score, s1)
+            if value == x1:
+                return s1
         return points[-1][1]  # unreachable; keeps the type checker calm
 
 

@@ -96,12 +96,18 @@ DEFAULT_SLO = SloSpec.parse(DEFAULT_SLO_TEXT)
 
 
 def percentile(values: typing.Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
+    """Nearest-rank percentile (deterministic, no interpolation).
+
+    The rank ``ceil(q * n / 100)`` is computed in integers from the
+    exact value of ``q``: in floats, ``7.0 / 100.0 * 100`` rounds above
+    7 and picks the 8th of 100 values.
+    """
     if not values:
         raise ValueError("percentile of an empty sequence")
     ordered = sorted(values)
-    rank = max(0, math.ceil(q / 100.0 * len(ordered)) - 1)
-    return ordered[rank]
+    numerator, denominator = float(q).as_integer_ratio()
+    rank = -(-numerator * len(ordered) // (denominator * 100))
+    return ordered[max(0, rank - 1)]
 
 
 @dataclasses.dataclass(frozen=True)

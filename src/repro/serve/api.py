@@ -13,7 +13,9 @@ artifact store.  Endpoints (all JSON unless noted)::
     GET  /v1/experiments                 the experiment registry
     POST /v1/jobs                        submit a campaign spec
     GET  /v1/jobs[?state=&limit=]        list this tenant's jobs
-    GET  /v1/jobs/<id>                   inspect one job
+    GET  /v1/jobs/<id>[?wait=<s>]        inspect one job; with wait,
+                                         answer once it is terminal
+                                         or after s seconds
     POST /v1/jobs/<id>/cancel            cancel it
     GET  /v1/jobs/<id>/artifacts         list artifact names + CAS map
     GET  /v1/jobs/<id>/artifacts/<name>  fetch artifact bytes
@@ -33,15 +35,17 @@ answer 404, not 403 — their existence is not disclosed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
+import time
 import typing
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, unquote, urlparse
 
-from ..obs.live import SERVE_POLL_S
+from ..obs.live import WakeableHTTPServer
 from .queue import QUEUE_FILENAME, Job, JobQueue
 from .schema import SpecError, normalize_spec, plan_from_spec
 from .store import ArtifactStore
@@ -87,17 +91,11 @@ class ServeDaemon:
             for index in range(max(0, n_workers))
         ]
         self._worker_threads: typing.List[threading.Thread] = []
-        handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = WakeableHTTPServer(
+            (host, port), _make_handler(self), thread_name="repro-serve-http"
+        )
         self.host = host
         self.port = self._httpd.server_address[1]
-        self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            args=(SERVE_POLL_S,),
-            name="repro-serve-http",
-            daemon=True,
-        )
         self._started = False
 
     # ------------------------------------------------------------------
@@ -111,7 +109,7 @@ class ServeDaemon:
         if self._started:
             return self
         self._started = True
-        self._serve_thread.start()
+        self._httpd.start()
         for worker in self._workers:
             thread = threading.Thread(
                 target=worker.run_forever,
@@ -125,8 +123,8 @@ class ServeDaemon:
 
     def close(self) -> None:
         self._stop.set()
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        self.queue.wake()  # idle workers and long-polls see the stop now
+        self._httpd.close()
         for thread in self._worker_threads:
             thread.join(timeout=5.0)
         self.queue.close()
@@ -161,6 +159,25 @@ class ServeDaemon:
         )
         self.store.write_spec(tenant, job.id, normalized)
         return job
+
+    def wait_for_job(
+        self, job_id: str, tenant: str, wait_s: float
+    ) -> typing.Optional[Job]:
+        """The job as soon as it is terminal, else as it stands after
+        ``wait_s`` seconds (or once the daemon is closing); ``None``
+        when this tenant has no such job.
+
+        Wakes on this daemon's queue changes.  A job finished by a
+        worker in another process is seen when ``wait_s`` runs out.
+        """
+        deadline = time.monotonic() + wait_s
+        while True:
+            version = self.queue.version
+            job = self.queue.get(job_id, tenant=tenant)
+            remaining = deadline - time.monotonic()
+            if job is None or job.terminal or remaining <= 0 or self._stop.is_set():
+                return job
+            self.queue.wait_for_change(version, remaining)
 
     def job_view(self, job: Job) -> dict:
         """The API's JSON shape for one job."""
@@ -330,9 +347,7 @@ def _make_handler(daemon: ServeDaemon):
             elif rest == ["jobs"] and method == "GET":
                 self._list_jobs(tenant, query)
             elif len(rest) == 2 and rest[0] == "jobs" and method == "GET":
-                job = self._job_or_404(tenant, rest[1])
-                if job is not None:
-                    self._send_json(daemon.job_view(job))
+                self._job_status(tenant, rest[1], query)
             elif (
                 len(rest) == 3
                 and rest[0] == "jobs"
@@ -393,6 +408,23 @@ def _make_handler(daemon: ServeDaemon):
                 self._error(400, "invalid campaign spec", errors=exc.errors)
                 return
             self._send_json(daemon.job_view(job), status=201)
+
+        def _job_status(self, tenant: str, job_id: str, query: dict) -> None:
+            raw = query.get("wait", ["0"])[0]
+            try:
+                wait_s = float(raw)
+            except ValueError:
+                wait_s = math.nan
+            if not (math.isfinite(wait_s) and wait_s >= 0):
+                self._error(
+                    400, f"'wait' must be a non-negative number of seconds, got {raw!r}"
+                )
+                return
+            job = daemon.wait_for_job(job_id, tenant, wait_s)
+            if job is None:
+                self._error(404, f"no job {job_id!r}")
+            else:
+                self._send_json(daemon.job_view(job))
 
         def _list_jobs(self, tenant: str, query: dict) -> None:
             state = query.get("state", [None])[0]

@@ -48,6 +48,7 @@ class ServeClient:
         path: str,
         method: str = "GET",
         payload: typing.Optional[dict] = None,
+        timeout_s: typing.Optional[float] = None,
     ) -> typing.Tuple[int, bytes, str]:
         request = urllib.request.Request(
             self.base_url + path, method=method
@@ -60,7 +61,7 @@ class ServeClient:
             request.add_header("Content-Type", "application/json")
         try:
             with urllib.request.urlopen(
-                request, data=data, timeout=self.timeout_s
+                request, data=data, timeout=timeout_s or self.timeout_s
             ) as response:
                 return (
                     response.status,
@@ -76,8 +77,11 @@ class ServeClient:
             raise ServeApiError(exc.code, body) from None
 
     def _json(self, path: str, method: str = "GET",
-              payload: typing.Optional[dict] = None) -> dict:
-        _, body, _ = self._request(path, method=method, payload=payload)
+              payload: typing.Optional[dict] = None,
+              timeout_s: typing.Optional[float] = None) -> dict:
+        _, body, _ = self._request(
+            path, method=method, payload=payload, timeout_s=timeout_s
+        )
         return json.loads(body.decode())
 
     # ------------------------------------------------------------------
@@ -140,10 +144,21 @@ class ServeClient:
         poll_s: float = 0.25,
         on_poll: typing.Optional[typing.Callable[[dict], None]] = None,
     ) -> dict:
-        """Poll until the job reaches a terminal state."""
+        """Block until the job reaches a terminal state.
+
+        Each round long-polls ``GET /v1/jobs/<id>?wait=poll_s``: the
+        daemon answers the moment the job is terminal, so ``poll_s`` is
+        only the longest gap between status reads (and ``on_poll``
+        calls).
+        """
         deadline = time.monotonic() + timeout_s
         while True:
-            job = self.job(job_id)
+            asked = time.monotonic()
+            wait_s = max(0.0, min(poll_s, deadline - asked))
+            job = self._json(
+                f"/v1/jobs/{job_id}?wait={wait_s:.3f}",
+                timeout_s=self.timeout_s + wait_s,
+            )
             if on_poll is not None:
                 on_poll(job)
             if job.get("terminal"):
@@ -153,4 +168,6 @@ class ServeClient:
                     f"job {job_id} still {job.get('state')!r} "
                     f"after {timeout_s:.0f}s"
                 )
-            time.sleep(poll_s)
+            # A daemon that answers early without a terminal job (it is
+            # closing, or predates ?wait=) is not asked again sooner.
+            time.sleep(max(0.0, asked + wait_s - time.monotonic()))

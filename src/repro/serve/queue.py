@@ -23,6 +23,12 @@ State machine::
 
 A job whose lease expires ``max_attempts`` times is marked ``failed``
 rather than looping forever (poison-job protection).
+
+Waiters in the same process (idle workers, long-polling API handlers)
+block on :meth:`JobQueue.wait_for_change`, which every submission,
+cancellation and terminal transition through that :class:`JobQueue`
+wakes.  Changes made by another process's handle are invisible to it,
+so waiters keep a timeout and re-read the database when it runs out.
 """
 
 from __future__ import annotations
@@ -128,6 +134,11 @@ class JobQueue:
     within a process one instance may be shared by many threads (an
     internal lock serializes its connection).  Cross-process atomicity
     of the lease transition comes from ``BEGIN IMMEDIATE``.
+
+    ``version`` counts the state changes made through this handle that
+    a waiter may care about; read it before looking at the queue and
+    pass it to :meth:`wait_for_change`, so a change that lands in
+    between is never missed.
     """
 
     def __init__(
@@ -140,6 +151,8 @@ class JobQueue:
         self.max_attempts = max_attempts
         self._clock = clock
         self._lock = threading.RLock()
+        self._changed = threading.Condition(threading.Lock())
+        self.version = 0
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
         self._db = sqlite3.connect(
@@ -186,6 +199,7 @@ class JobQueue:
                 ),
             )
             self._db.commit()
+        self.wake()
         return typing.cast(Job, self.get(job_id))
 
     def cancel(self, job_id: str, tenant: typing.Optional[str] = None) -> typing.Optional[Job]:
@@ -204,7 +218,8 @@ class JobQueue:
                 (self._clock(), job_id),
             )
             self._db.commit()
-            return self.get(job_id, tenant=tenant)
+        self.wake()
+        return self.get(job_id, tenant=tenant)
 
     # ------------------------------------------------------------------
     # Worker side
@@ -244,6 +259,7 @@ class JobQueue:
                             ),
                         )
                         self._db.commit()
+                        self.wake()
                         continue  # look for the next candidate
                     self._db.execute(
                         "UPDATE jobs SET state='running', attempts=attempts+1,"
@@ -316,7 +332,25 @@ class JobQueue:
                 ),
             )
             self._db.commit()
-            return cursor.rowcount == 1
+        self.wake()
+        return cursor.rowcount == 1
+
+    # ------------------------------------------------------------------
+    # Waiting
+    # ------------------------------------------------------------------
+    def wake(self) -> None:
+        """Bump :attr:`version` and wake every :meth:`wait_for_change`."""
+        with self._changed:
+            self.version += 1
+            self._changed.notify_all()
+
+    def wait_for_change(self, version: int, timeout_s: float) -> bool:
+        """Block until :attr:`version` moves past ``version`` or
+        ``timeout_s`` runs out; True when it moved."""
+        with self._changed:
+            return self._changed.wait_for(
+                lambda: self.version != version, timeout_s
+            )
 
     # ------------------------------------------------------------------
     # Introspection / recovery

@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-import time
 import typing
 
 from ..runner import TelemetryWriter, run_campaign
@@ -86,16 +85,21 @@ class ServeWorker:
         stop: typing.Optional[threading.Event] = None,
         max_jobs: typing.Optional[int] = None,
     ) -> int:
-        """Poll-lease-run until ``stop`` is set (or ``max_jobs`` done)."""
+        """Lease-run until ``stop`` is set (or ``max_jobs`` done).
+
+        An idle worker sleeps on the queue's change signal, so a job
+        submitted through the same :class:`JobQueue` is leased at once;
+        whoever sets ``stop`` calls :meth:`JobQueue.wake` to end the
+        sleep.  ``poll_s`` bounds the sleep for what this process cannot
+        see: submissions from other processes and expired leases.
+        """
         done = 0
         while (stop is None or not stop.is_set()) and (
             max_jobs is None or done < max_jobs
         ):
+            version = self.queue.version
             if self.run_once() is None:
-                if stop is not None:
-                    stop.wait(self.poll_s)
-                else:
-                    time.sleep(self.poll_s)
+                self.queue.wait_for_change(version, self.poll_s)
                 continue
             done += 1
         return done

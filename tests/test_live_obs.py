@@ -174,8 +174,8 @@ def test_close_is_idempotent():
 
 
 def test_close_does_not_wait_out_a_poll_interval():
-    # shutdown() blocks until serve_forever's next poll, so the poll
-    # interval bounds every close (the stdlib default is 0.5 s).
+    # A polling accept loop would cost up to one poll interval per
+    # close (the stdlib serve_forever default is 0.5 s).
     started = time.perf_counter()
     with live_server(port=0):
         pass
